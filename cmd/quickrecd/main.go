@@ -3,14 +3,12 @@
 // over TCP, shards sessions by replay-sphere (tenant) ID, lands each
 // upload as a content-addressed crash-consistent bundle, and verifies
 // stored bundles in the background by salvage plus deterministic
-// replay.
-//
-// Usage:
-//
-// The worker mode turns the daemon into a fleet compute node: it
+// replay. The worker mode turns the daemon into a fleet compute node: it
 // attaches to a serve instance's job broker and executes distributed
 // replay and race-detection jobs against bundles fetched from the
 // server's store.
+//
+// Usage:
 //
 //	quickrecd serve   -addr 127.0.0.1:7070 -store /var/lib/quickrec
 //	quickrecd worker  -addr 127.0.0.1:7070 -slots 4
@@ -60,8 +58,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: quickrecd <serve|worker|loadgen> [flags]
   serve   -addr HOST:PORT -store DIR [-shards N] [-queue N] [-credit BYTES]
-          [-verifiers N] [-replay-workers N] [-max-upload BYTES] [-statsz SECS]
-          [-job-timeout SECS]
+          [-verifiers N] [-max-upload BYTES] [-statsz SECS] [-job-timeout SECS]
                                    run the ingest server; SIGINT/SIGTERM drain and
                                    print the final /statsz report
   worker  -addr HOST:PORT [-slots N]
@@ -83,7 +80,6 @@ func cmdServe(args []string) error {
 	queue := fs.Int("queue", cfg.QueueDepth, "per-shard queue depth (backpressure bound)")
 	credit := fs.Int("credit", cfg.Credit, "per-session in-flight byte credit")
 	verifiers := fs.Int("verifiers", cfg.Verifiers, "background verifier workers")
-	replayW := fs.Int("replay-workers", cfg.ReplayWorkers, "parallel-replay workers per verification (0 serial, -1 all CPUs)")
 	maxUpload := fs.Int("max-upload", cfg.MaxUploadBytes, "per-upload size cap in bytes")
 	statsz := fs.Int("statsz", 0, "print the /statsz report every N seconds (0 = only at exit)")
 	jobTimeout := fs.Int("job-timeout", 0, "fleet job straggler deadline in seconds (0 = default)")
@@ -97,7 +93,6 @@ func cmdServe(args []string) error {
 	cfg.QueueDepth = *queue
 	cfg.Credit = *credit
 	cfg.Verifiers = *verifiers
-	cfg.ReplayWorkers = *replayW
 	cfg.MaxUploadBytes = *maxUpload
 	cfg.JobTimeout = time.Duration(*jobTimeout) * time.Second
 

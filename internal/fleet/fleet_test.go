@@ -152,6 +152,85 @@ func TestFleetWorkerFailure(t *testing.T) {
 	}
 }
 
+// TestBrokerSeversMisbehavingWorker pins the bound on the broker's
+// RESULT reassembly: a worker that answers for a job it was never given,
+// or streams one result past MaxUploadBytes, is severed and counted as
+// rejected, and the job it held goes back on the board for a real
+// worker to finish.
+func TestBrokerSeversMisbehavingWorker(t *testing.T) {
+	cfg := ingest.DefaultConfig()
+	cfg.StoreDir = t.TempDir()
+	cfg.MaxUploadBytes = 4 << 20
+	srv, err := ingest.NewServer(cfg)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	go srv.Serve()
+	t.Cleanup(func() { srv.Close() })
+	rec, prog := recordRacy(t)
+
+	// severed sends one result on a raw worker session and requires the
+	// server to hang up and count exactly one more rejection.
+	severed := func(w *ingest.WorkerConn, id uint64, size int) {
+		t.Helper()
+		before := srv.Counters().Rejected
+		// A server that keeps the session open fails the counter check
+		// below instead of hanging the test.
+		hangUp := time.AfterFunc(10*time.Second, func() { w.Close() })
+		defer hangUp.Stop()
+		w.SendResult(id, make([]byte, size), "") // may fail once the server hangs up
+		if _, _, err := w.NextJob(); err == nil {
+			t.Fatalf("result %d (%d bytes): worker session not severed", id, size)
+		}
+		if got := srv.Counters().Rejected - before; got != 1 {
+			t.Fatalf("result %d (%d bytes): rejected counter moved by %d, want 1", id, size, got)
+		}
+	}
+
+	rogue, err := ingest.DialWorker(srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rogue.Close()
+	severed(rogue, 999, 16) // nothing was ever dispatched to it
+
+	greedy, err := ingest.DialWorker(srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer greedy.Close()
+	client, err := fleet.Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer client.Close()
+	type outcome struct {
+		res *replay.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := client.Replay(prog, rec)
+		done <- outcome{res, err}
+	}()
+	id, _, err := greedy.NextJob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	severed(greedy, id, cfg.MaxUploadBytes+1)
+
+	go (&fleet.Worker{Addr: srv.Addr(), Slots: 2}).Run()
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("fleet replay after severing the greedy worker: %v", got.err)
+	}
+	want, err := core.Replay(prog, rec)
+	if err != nil {
+		t.Fatalf("local replay: %v", err)
+	}
+	sameReplay(t, want, got.res)
+}
+
 // TestFleetMatchesLocal is the loopback end-to-end: two in-process
 // workers attached to a broker, one submitter replaying and
 // race-detecting through them, outputs bit-identical to local runs.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/machine"
 )
 
 // localExpectation is the client-side ground truth for one stream: what
@@ -55,12 +56,45 @@ func expectLocally(t *testing.T, stream []byte) localExpectation {
 	}
 }
 
+// recordCompressed records name with the recorder's segment writer
+// compressing chunk and input segments — the one compression point on
+// the upload path — under RecordWorkloadStream's configuration.
+func recordCompressed(t *testing.T, name string, threads int, seed uint64) []byte {
+	t.Helper()
+	prog, err := buildProgram(name, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.ModeFull
+	cfg.Cores = 2
+	cfg.Threads = threads
+	cfg.Seed = seed
+	cfg.KernelSeed = seed + 1000
+	cfg.FlushEveryChunks = 8
+	cfg.CheckpointEveryInstrs = 2000
+	cfg.CompressStream = true
+	var buf bytes.Buffer
+	if _, err := core.StreamRecord(prog, cfg, &buf); err != nil {
+		t.Fatalf("compressed stream record %s: %v", name, err)
+	}
+	plain, err := ingest.RecordWorkloadStream(name, threads, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() >= len(plain) {
+		t.Fatalf("%s: compressed stream is %d bytes, plain %d — nothing was compressed", name, buf.Len(), len(plain))
+	}
+	return buf.Bytes()
+}
+
 // TestIngestLoopbackE2E is the recording-as-a-service conformance cell:
-// record real workloads, push them through a real quickrecd listener
-// from at least 8 concurrent uploaders (one of them torn mid-upload),
-// and require that every stored bundle is byte-identical to its upload
-// and that the server's salvage + parallel prefix-replay verdict agrees
-// bit-for-bit with local verification of the same bytes. The small
+// record real workloads — one of them with a recorder-compressed stream
+// — push them through a real quickrecd listener from at least 8
+// concurrent uploaders (one of them torn mid-upload), and require that
+// every stored bundle is byte-identical to its upload and that the
+// server's salvage + prefix-replay verdict agrees bit-for-bit with local
+// verification of the same bytes. The small
 // credit forces the flow-control loop to actually cycle; the test is in
 // CI's -race step, so the shard/verifier concurrency is exercised under
 // the detector.
@@ -74,6 +108,9 @@ func TestIngestLoopbackE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		streams = append(streams, data)
+	}
+	streams = append(streams, recordCompressed(t, "ioheavy", 3, 13))
+	for _, data := range streams {
 		expect = append(expect, expectLocally(t, data))
 	}
 
@@ -81,7 +118,6 @@ func TestIngestLoopbackE2E(t *testing.T) {
 	cfg.StoreDir = t.TempDir()
 	cfg.Shards = 2
 	cfg.Verifiers = 2
-	cfg.ReplayWorkers = 2
 	cfg.Credit = 8 << 10 // several grant cycles per upload
 	srv, err := ingest.NewServer(cfg)
 	if err != nil {

@@ -1,6 +1,6 @@
 package ingest
 
-// The fleet job broker: the server side of the v3 job plane. Worker
+// The fleet job broker: the server side of the job plane. Worker
 // processes ATTACH with a slot count and are fed JOB frames; submitters
 // ATTACH and push JOB frames whose bodies the broker never inspects —
 // a job is an opaque dispatch envelope naming a content-addressed
@@ -15,7 +15,6 @@ package ingest
 // duplicate results are discarded by ID.
 
 import (
-	"net"
 	"sync"
 	"time"
 
@@ -28,11 +27,13 @@ const defaultJobTimeout = 30 * time.Second
 
 // fleetConn is one attached fleet session (worker or submitter).
 type fleetConn struct {
-	conn  net.Conn
-	wmu   sync.Mutex
-	slots int             // worker concurrency; 0 for submitters
-	sent  map[uint64]bool // job IDs in flight on this worker (broker.mu)
-	gone  bool            // torn down (broker.mu)
+	*peer
+	slots int // worker concurrency; 0 for submitters
+	// sent counts the dispatches of each job ID in flight on this worker
+	// (broker.mu) — a straggler re-dispatched to the same worker runs,
+	// and may answer, twice.
+	sent map[uint64]int
+	gone bool // torn down (broker.mu)
 }
 
 // brokerJob is one job on the board.
@@ -153,7 +154,7 @@ func (b *broker) nextJob(w *fleetConn) *brokerJob {
 			}
 			j.queued = false
 			j.deadline = time.Now().Add(b.jobTimeout)
-			w.sent[id] = true
+			w.sent[id]++
 			return j
 		}
 		b.cond.Wait()
@@ -165,7 +166,10 @@ func (b *broker) nextJob(w *fleetConn) *brokerJob {
 // up — are discarded.
 func (b *broker) complete(w *fleetConn, id uint64, data []byte, errMsg string) {
 	b.mu.Lock()
-	delete(w.sent, id) // frees a slot even when the result is stale
+	// Frees a slot even when the result is stale.
+	if w.sent[id]--; w.sent[id] <= 0 {
+		delete(w.sent, id)
+	}
 	j := b.jobs[id]
 	if j != nil {
 		delete(b.jobs, id)
@@ -178,8 +182,19 @@ func (b *broker) complete(w *fleetConn, id uint64, data []byte, errMsg string) {
 	b.mu.Unlock()
 	b.cond.Broadcast() // a slot freed; feeders may proceed
 	if sub != nil {
-		b.writeResult(sub, subID, errMsg, data)
+		// Chunks of different jobs may interleave on a submitter's
+		// connection; the ID keeps reassembly unambiguous. A failed write
+		// severs the submitter, whose session then tears itself down.
+		sendResult(subID, data, errMsg, func(p []byte) error { return sub.write(FrameResult, p) })
 	}
+}
+
+// dispatched reports whether job id is in flight on w: the only IDs w
+// may send RESULT chunks for.
+func (b *broker) dispatched(w *fleetConn, id uint64) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return w.sent[id] > 0
 }
 
 // workerGone tears down a worker: everything it had in flight goes back
@@ -193,7 +208,7 @@ func (b *broker) workerGone(w *fleetConn) {
 			b.pending = append(b.pending, id)
 		}
 	}
-	w.sent = make(map[uint64]bool)
+	w.sent = make(map[uint64]int)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -212,70 +227,24 @@ func (b *broker) submitterGone(sub *fleetConn) {
 	b.cond.Broadcast()
 }
 
-// writeFleetFrame sends one frame on a fleet session under its write
-// lock and the server's write deadline.
-func (b *broker) writeFleetFrame(fc *fleetConn, kind FrameKind, payload []byte) bool {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFrame(a, kind, payload)
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	fc.conn.SetWriteDeadline(time.Now().Add(b.s.cfg.WriteTimeout))
-	if _, err := fc.conn.Write(a.Buf); err != nil {
-		fc.conn.Close()
-		return false
-	}
-	return true
-}
-
-// writeResult streams one result to a session as a chunk sequence
-// sharing the routing ID. Chunks of different jobs may interleave on a
-// submitter's connection; the ID keeps reassembly unambiguous.
-func (b *broker) writeResult(fc *fleetConn, id uint64, errMsg string, data []byte) bool {
-	for {
-		n := len(data)
-		if n > resultChunkSize {
-			n = resultChunkSize
-		}
-		last := n == len(data)
-		r := resultPayload{ID: id, Last: last, Data: data[:n]}
-		if last {
-			r.Err = errMsg
-		}
-		a := wire.GetAppender()
-		appendResult(a, r)
-		ok := b.writeFleetFrame(fc, FrameResult, a.Buf)
-		wire.PutAppender(a)
-		if !ok {
-			return false
-		}
-		if last {
-			return true
-		}
-		data = data[n:]
-	}
-}
-
 // handleAttach runs one fleet session from its ATTACH frame on. Called
 // on the connection handler goroutine; returns when the session ends.
-func (b *broker) handleAttach(conn net.Conn, payload []byte) {
-	fc := &fleetConn{conn: conn}
+func (b *broker) handleAttach(p *peer, payload []byte) {
 	at, err := decodeAttach(payload)
+	if err == nil {
+		err = checkVersion(at.Version)
+	}
 	if err != nil {
 		b.s.ctrs.rejected.Add(1)
-		b.writeError(fc, CodeProtocol, false, err.Error())
+		p.writeError(CodeProtocol, false, "bad attach: "+err.Error())
 		return
 	}
-	if at.Version < 3 || b.s.maxVersion() < 3 {
-		b.s.ctrs.rejected.Add(1)
-		b.writeError(fc, CodeProtocol, false, "fleet attach requires protocol v3")
-		return
-	}
+	fc := &fleetConn{peer: p}
 	a := wire.GetAppender()
-	appendWelcome(a, welcomePayload{Version: 3, Credit: uint64(b.s.cfg.Credit)})
-	ok := b.writeFleetFrame(fc, FrameWelcome, a.Buf)
+	appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(b.s.cfg.Credit)})
+	err = fc.write(FrameWelcome, a.Buf)
 	wire.PutAppender(a)
-	if !ok {
+	if err != nil {
 		return
 	}
 	switch at.Role {
@@ -284,23 +253,19 @@ func (b *broker) handleAttach(conn net.Conn, payload []byte) {
 		if fc.slots < 1 {
 			fc.slots = 1
 		}
-		fc.sent = make(map[uint64]bool)
+		fc.sent = make(map[uint64]int)
 		b.runWorker(fc)
 	case roleSubmitter:
 		b.runSubmitter(fc)
 	}
 }
 
-func (b *broker) writeError(fc *fleetConn, code ErrorCode, retryable bool, msg string) {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendError(a, errorPayload{Code: code, Retryable: retryable, Msg: msg})
-	b.writeFleetFrame(fc, FrameError, a.Buf)
-}
-
 // runWorker feeds jobs to an attached worker and routes its results.
 // The feeder goroutine pulls from the board; the session goroutine
 // (this one) reads RESULT frames, reassembling chunked results by ID.
+// A RESULT for an ID not in flight on this worker, or one whose
+// reassembled size passes MaxUploadBytes, is a protocol violation: the
+// worker is severed and its jobs go back on the board.
 func (b *broker) runWorker(fc *fleetConn) {
 	b.wg.Add(1)
 	go func() {
@@ -312,9 +277,9 @@ func (b *broker) runWorker(fc *fleetConn) {
 			}
 			a := wire.GetAppender()
 			appendJobFrame(a, jobPayload{ID: j.id, Body: j.body})
-			ok := b.writeFleetFrame(fc, FrameJob, a.Buf)
+			err := fc.write(FrameJob, a.Buf)
 			wire.PutAppender(a)
-			if !ok {
+			if err != nil {
 				b.workerGone(fc)
 				return
 			}
@@ -332,7 +297,8 @@ func (b *broker) runWorker(fc *fleetConn) {
 			return
 		}
 		r, err := decodeResult(payload)
-		if err != nil {
+		if err != nil || !b.dispatched(fc, r.ID) ||
+			len(partial[r.ID])+len(r.Data) > b.s.cfg.MaxUploadBytes {
 			b.s.ctrs.rejected.Add(1)
 			return
 		}

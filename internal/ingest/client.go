@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -32,60 +33,50 @@ func IsRetryable(err error) bool {
 	return errors.As(err, &se) && se.Retryable
 }
 
-// Client is one recorder's connection to the ingest fleet. A client
-// carries one upload session; it is not safe for concurrent use.
-type Client struct {
-	conn       net.Conn
-	br         *bufio.Reader
-	credit     int
-	chunk      int
-	version    byte // negotiated protocol version, set by hello
-	maxVersion byte // highest version to offer; 0 means protoVersionMax
+// session is the client end of one framed connection. Every client
+// session — upload, fleet submitter or worker, fetch — dials, sends its
+// opening frame, and then exchanges frames through send and recv.
+// Writes are serialized by wmu, so concurrent senders (a worker's jobs)
+// never interleave bytes within a frame.
+type session struct {
+	conn net.Conn
+	br   *bufio.Reader
+	wmu  sync.Mutex
 }
 
-// SetMaxVersion caps the protocol version this client offers — the
-// mixed-version interop tests use it to impersonate an old client
-// against a new server. Must be called before Upload.
-func (c *Client) SetMaxVersion(v byte) { c.maxVersion = v }
-
-// offerVersion is the version hello offers.
-func (c *Client) offerVersion() byte {
-	if c.maxVersion != 0 {
-		return c.maxVersion
-	}
-	return protoVersionMax
-}
-
-// uploadChunk is the default DATA frame payload size.
-const uploadChunk = 64 << 10
-
-// Dial connects to an ingest server.
-func Dial(addr string) (*Client, error) {
+// dialSession connects to an ingest server.
+func dialSession(addr string) (*session, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: dial: %w", err)
 	}
-	return &Client{conn: conn, br: bufio.NewReader(conn), chunk: uploadChunk}, nil
+	return newSession(conn), nil
+}
+
+func newSession(conn net.Conn) *session {
+	return &session{conn: conn, br: bufio.NewReader(conn)}
 }
 
 // Close severs the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (s *session) Close() error { return s.conn.Close() }
 
 // send frames payload under kind and writes it.
-func (c *Client) send(kind FrameKind, payload []byte) error {
+func (s *session) send(kind FrameKind, payload []byte) error {
 	a := wire.GetAppender()
 	defer wire.PutAppender(a)
 	appendFrame(a, kind, payload)
-	if _, err := c.conn.Write(a.Buf); err != nil {
-		return fmt.Errorf("ingest: send: %w", err)
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if _, err := s.conn.Write(a.Buf); err != nil {
+		return fmt.Errorf("ingest: send %s: %w", kind, err)
 	}
 	return nil
 }
 
 // recv reads the next server frame, decoding ERROR frames into
 // *ServerError.
-func (c *Client) recv() (FrameKind, []byte, error) {
-	kind, payload, err := readFrame(c.br)
+func (s *session) recv() (FrameKind, []byte, error) {
+	kind, payload, err := readFrame(s.br)
 	if err != nil {
 		return 0, nil, fmt.Errorf("ingest: recv: %w", err)
 	}
@@ -99,33 +90,58 @@ func (c *Client) recv() (FrameKind, []byte, error) {
 	return kind, payload, nil
 }
 
-// hello negotiates the session and the initial credit.
+// open sends the session's opening frame (HELLO or ATTACH) and waits
+// for a WELCOME carrying protoVersion.
+func (s *session) open(kind FrameKind, payload []byte) (welcomePayload, error) {
+	if err := s.send(kind, payload); err != nil {
+		return welcomePayload{}, err
+	}
+	reply, payload, err := s.recv()
+	if err != nil {
+		return welcomePayload{}, err
+	}
+	if reply != FrameWelcome {
+		return welcomePayload{}, fmt.Errorf("%w: %s instead of welcome", ErrFrame, reply)
+	}
+	w, err := decodeWelcome(payload)
+	if err != nil {
+		return w, err
+	}
+	if w.Version != protoVersion {
+		return w, fmt.Errorf("%w: server speaks version %d, client speaks %d", ErrFrame, w.Version, protoVersion)
+	}
+	return w, nil
+}
+
+// Client is one recorder's connection to the ingest fleet. A client
+// carries one upload session; it is not safe for concurrent use.
+type Client struct {
+	*session
+	credit int
+	chunk  int
+}
+
+// uploadChunk is the default DATA frame payload size.
+const uploadChunk = 64 << 10
+
+// Dial connects to an ingest server.
+func Dial(addr string) (*Client, error) {
+	s, err := dialSession(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{session: s, chunk: uploadChunk}, nil
+}
+
+// hello opens the upload session and takes the initial credit.
 func (c *Client) hello(tenant string, sizeHint uint64) error {
 	a := wire.GetAppender()
-	appendHello(a, helloPayload{Version: c.offerVersion(), Tenant: tenant, SizeHint: sizeHint})
-	err := c.send(FrameHello, a.Buf)
+	appendHello(a, helloPayload{Version: protoVersion, Tenant: tenant, SizeHint: sizeHint})
+	w, err := c.open(FrameHello, a.Buf)
 	wire.PutAppender(a)
 	if err != nil {
 		return err
 	}
-	kind, payload, err := c.recv()
-	if err != nil {
-		return err
-	}
-	if kind != FrameWelcome {
-		return fmt.Errorf("%w: %s instead of welcome", ErrFrame, kind)
-	}
-	w, err := decodeWelcome(payload)
-	if err != nil {
-		return err
-	}
-	// The server may negotiate down from the offer, never up past it and
-	// never below the client's floor.
-	if w.Version < protoVersionMin || w.Version > c.offerVersion() {
-		return fmt.Errorf("%w: server negotiated version %d, client speaks %d..%d",
-			ErrFrame, w.Version, protoVersionMin, c.offerVersion())
-	}
-	c.version = w.Version
 	if w.Credit == 0 {
 		return fmt.Errorf("%w: zero initial credit", ErrFrame)
 	}
@@ -164,35 +180,13 @@ func (c *Client) sendData(stream []byte) error {
 		if n > len(stream)-off {
 			n = len(stream) - off
 		}
-		if err := c.sendChunk(stream[off : off+n]); err != nil {
+		if err := c.send(FrameData, stream[off:off+n]); err != nil {
 			return err
 		}
-		// Credit is accounted in decoded bytes on both sides, so the flow-
-		// control loop is oblivious to whether a chunk traveled compressed.
 		c.credit -= n
 		off += n
 	}
 	return nil
-}
-
-// sendChunk sends one run of stream bytes, compressed when the
-// negotiated version allows it and compression actually wins: on v3
-// sessions the chunk is block-compressed and sent as DATAZ iff the
-// framed form (CRC + block) is smaller than the raw bytes — log streams
-// are usually highly compressible, already-dense chunks fall back to
-// plain DATA. Pre-v3 sessions never see a DATAZ frame.
-func (c *Client) sendChunk(chunk []byte) error {
-	if c.version >= 3 {
-		a := wire.GetAppender()
-		appendDataZ(a, chunk)
-		if len(a.Buf) < len(chunk) {
-			err := c.send(FrameDataZ, a.Buf)
-			wire.PutAppender(a)
-			return err
-		}
-		wire.PutAppender(a)
-	}
-	return c.send(FrameData, chunk)
 }
 
 // Upload sends one recorded stream under tenant and returns the
@@ -251,7 +245,7 @@ func (c *Client) UploadTorn(tenant string, stream []byte, cut int) error {
 	if err := c.sendData(stream[:cut]); err != nil {
 		return err
 	}
-	return c.conn.Close()
+	return c.Close()
 }
 
 // backoffCapFactor bounds the exponential retry backoff at

@@ -2,96 +2,48 @@ package ingest
 
 // Client-side fleet transport: typed connections for the two ATTACH
 // roles plus the FETCH opener. These are deliberately thin — framing,
-// negotiation, chunk reassembly — so the executor and worker logic can
-// live outside this package (internal/fleet) without re-implementing
-// the wire protocol.
+// the opening handshake, chunk reassembly — so the executor and worker
+// logic can live outside this package (internal/fleet) without
+// re-implementing the wire protocol.
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// fleetDial opens a fleet session in the given role.
-func fleetDial(addr string, role byte, slots int) (net.Conn, *bufio.Reader, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+// attach opens a fleet session in the given role.
+func attach(addr string, role byte, slots int) (*session, error) {
+	s, err := dialSession(addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: dial: %w", err)
+		return nil, err
 	}
-	a := wire.GetAppender()
-	var f wire.Appender
-	appendAttach(&f, attachPayload{Version: protoVersionMax, Role: role, Slots: uint64(slots)})
-	appendFrame(a, FrameAttach, f.Buf)
-	_, err = conn.Write(a.Buf)
-	wire.PutAppender(a)
-	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("ingest: attach: %w", err)
+	var p wire.Appender
+	appendAttach(&p, attachPayload{Version: protoVersion, Role: role, Slots: uint64(slots)})
+	if _, err := s.open(FrameAttach, p.Buf); err != nil {
+		s.Close()
+		return nil, err
 	}
-	br := bufio.NewReader(conn)
-	kind, payload, err := readFrame(br)
-	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("ingest: attach: %w", err)
-	}
-	if kind == FrameError {
-		ep, derr := decodeError(payload)
-		conn.Close()
-		if derr != nil {
-			return nil, nil, derr
-		}
-		return nil, nil, &ServerError{Code: ep.Code, Retryable: ep.Retryable, Msg: ep.Msg}
-	}
-	if kind != FrameWelcome {
-		conn.Close()
-		return nil, nil, fmt.Errorf("%w: %s instead of welcome", ErrFrame, kind)
-	}
-	if w, err := decodeWelcome(payload); err != nil {
-		conn.Close()
-		return nil, nil, err
-	} else if w.Version < 3 {
-		conn.Close()
-		return nil, nil, fmt.Errorf("%w: server negotiated v%d, fleet needs v3", ErrFrame, w.Version)
-	}
-	return conn, br, nil
-}
-
-// sendFleetFrame writes one frame. Callers serialize writes themselves
-// (both session types write from a single goroutine).
-func sendFleetFrame(conn net.Conn, kind FrameKind, payload []byte) error {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFrame(a, kind, payload)
-	if _, err := conn.Write(a.Buf); err != nil {
-		return fmt.Errorf("ingest: send %s: %w", kind, err)
-	}
-	return nil
+	return s, nil
 }
 
 // Submitter is a submitter-role fleet session: it pushes job bodies
 // under caller-chosen IDs and pulls completed results.
 type Submitter struct {
-	conn    net.Conn
-	br      *bufio.Reader
+	*session
 	partial map[uint64][]byte
 }
 
-// DialSubmitter attaches to a fleet server as a submitter.
+// DialSubmitter attaches to a fleet server as a submitter. Closing it
+// severs the session; the server drops any unfinished jobs.
 func DialSubmitter(addr string) (*Submitter, error) {
-	conn, br, err := fleetDial(addr, roleSubmitter, 0)
+	s, err := attach(addr, roleSubmitter, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Submitter{conn: conn, br: br, partial: make(map[uint64][]byte)}, nil
+	return &Submitter{session: s, partial: make(map[uint64][]byte)}, nil
 }
-
-// Close severs the session; the server drops any unfinished jobs.
-func (s *Submitter) Close() error { return s.conn.Close() }
 
 // Submit puts one job on the server's board under id. IDs are the
 // caller's namespace; reusing one before its result arrives is a
@@ -99,7 +51,7 @@ func (s *Submitter) Close() error { return s.conn.Close() }
 func (s *Submitter) Submit(id uint64, body []byte) error {
 	var p wire.Appender
 	appendJobFrame(&p, jobPayload{ID: id, Body: body})
-	return sendFleetFrame(s.conn, FrameJob, p.Buf)
+	return s.send(FrameJob, p.Buf)
 }
 
 // Next blocks for the next completed job: its ID, result payload, and
@@ -107,16 +59,9 @@ func (s *Submitter) Submit(id uint64, body []byte) error {
 // completion order, not submission order.
 func (s *Submitter) Next() (id uint64, data []byte, errMsg string, err error) {
 	for {
-		kind, payload, err := readFrame(s.br)
+		kind, payload, err := s.recv()
 		if err != nil {
-			return 0, nil, "", fmt.Errorf("ingest: submitter recv: %w", err)
-		}
-		if kind == FrameError {
-			ep, derr := decodeError(payload)
-			if derr != nil {
-				return 0, nil, "", derr
-			}
-			return 0, nil, "", &ServerError{Code: ep.Code, Retryable: ep.Retryable, Msg: ep.Msg}
+			return 0, nil, "", err
 		}
 		if kind != FrameResult {
 			return 0, nil, "", fmt.Errorf("%w: %s instead of result", ErrFrame, kind)
@@ -136,31 +81,27 @@ func (s *Submitter) Next() (id uint64, data []byte, errMsg string, err error) {
 
 // WorkerConn is a worker-role fleet session: it pulls job envelopes and
 // pushes results. Reads and writes may come from different goroutines
-// (jobs execute concurrently); writes are serialized by wmu.
+// (jobs execute concurrently).
 type WorkerConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	wmu  sync.Mutex
+	*session
 }
 
 // DialWorker attaches to a fleet server as a worker advertising the
-// given slot count.
+// given slot count. Closing it severs the session; the server re-queues
+// anything in flight.
 func DialWorker(addr string, slots int) (*WorkerConn, error) {
-	conn, br, err := fleetDial(addr, roleWorker, slots)
+	s, err := attach(addr, roleWorker, slots)
 	if err != nil {
 		return nil, err
 	}
-	return &WorkerConn{conn: conn, br: br}, nil
+	return &WorkerConn{session: s}, nil
 }
-
-// Close severs the session; the server re-queues anything in flight.
-func (w *WorkerConn) Close() error { return w.conn.Close() }
 
 // NextJob blocks for the next job envelope.
 func (w *WorkerConn) NextJob() (id uint64, body []byte, err error) {
-	kind, payload, err := readFrame(w.br)
+	kind, payload, err := w.recv()
 	if err != nil {
-		return 0, nil, fmt.Errorf("ingest: worker recv: %w", err)
+		return 0, nil, err
 	}
 	if kind != FrameJob {
 		return 0, nil, fmt.Errorf("%w: %s instead of job", ErrFrame, kind)
@@ -175,28 +116,7 @@ func (w *WorkerConn) NextJob() (id uint64, body []byte, err error) {
 // SendResult streams one job's result back, chunked under the
 // maxFramePayload cap. Safe for concurrent use.
 func (w *WorkerConn) SendResult(id uint64, data []byte, errMsg string) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	for {
-		n := len(data)
-		if n > resultChunkSize {
-			n = resultChunkSize
-		}
-		last := n == len(data)
-		r := resultPayload{ID: id, Last: last, Data: data[:n]}
-		if last {
-			r.Err = errMsg
-		}
-		var p wire.Appender
-		appendResult(&p, r)
-		if err := sendFleetFrame(w.conn, FrameResult, p.Buf); err != nil {
-			return err
-		}
-		if last {
-			return nil
-		}
-		data = data[n:]
-	}
+	return sendResult(id, data, errMsg, func(p []byte) error { return w.send(FrameResult, p) })
 }
 
 // FetchBundle retrieves a stored bundle by digest over a fetch session:
@@ -204,26 +124,21 @@ func (w *WorkerConn) SendResult(id uint64, data []byte, errMsg string) error {
 // object's SHA-256, which is checked against both the reassembled bytes
 // and the requested digest.
 func FetchBundle(addr, digest string) ([]byte, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	s, err := dialSession(addr)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: dial: %w", err)
+		return nil, err
 	}
-	defer conn.Close()
-	a := wire.GetAppender()
-	var f wire.Appender
-	appendFetch(&f, fetchPayload{Digest: digest})
-	appendFrame(a, FrameFetch, f.Buf)
-	_, err = conn.Write(a.Buf)
-	wire.PutAppender(a)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: fetch: %w", err)
+	defer s.Close()
+	var p wire.Appender
+	appendFetch(&p, fetchPayload{Digest: digest})
+	if err := s.send(FrameFetch, p.Buf); err != nil {
+		return nil, err
 	}
-	br := bufio.NewReader(conn)
 	var data []byte
 	for {
-		kind, payload, err := readFrame(br)
+		kind, payload, err := s.recv()
 		if err != nil {
-			return nil, fmt.Errorf("ingest: fetch recv: %w", err)
+			return nil, err
 		}
 		switch kind {
 		case FrameData:
@@ -238,12 +153,6 @@ func FetchBundle(addr, digest string) ([]byte, error) {
 				return nil, fmt.Errorf("%w: fetched object hashes to %x, asked for %s", ErrFrame, sum, digest)
 			}
 			return data, nil
-		case FrameError:
-			ep, derr := decodeError(payload)
-			if derr != nil {
-				return nil, derr
-			}
-			return nil, &ServerError{Code: ep.Code, Retryable: ep.Retryable, Msg: ep.Msg}
 		default:
 			return nil, fmt.Errorf("%w: %s during fetch", ErrFrame, kind)
 		}

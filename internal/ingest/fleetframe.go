@@ -1,7 +1,7 @@
 package ingest
 
-// Payload codecs for the v3 frames: the compressed data plane (DATAZ)
-// and the fleet job plane (ATTACH/JOB/RESULT/FETCH).
+// Payload codecs for the fleet frames: the job plane
+// (ATTACH/JOB/RESULT) and blob fetch (FETCH).
 //
 // Job and result payloads are opaque to this layer beyond their routing
 // envelope — the broker moves bytes between submitters and workers and
@@ -11,42 +11,9 @@ package ingest
 
 import (
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/wire"
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendDataZ frames a run of stream bytes as a checksummed compressed
-// block. The CRC covers the on-wire block bytes (method byte included),
-// so corruption is caught before decompression runs on hostile input.
-func appendDataZ(a *wire.Appender, data []byte) {
-	var blk wire.Appender
-	wire.AppendBlock(&blk, data)
-	a.U32(crc32.Checksum(blk.Buf, castagnoli))
-	a.Raw(blk.Buf)
-}
-
-// decodeDataZ undoes appendDataZ, returning the raw stream bytes.
-func decodeDataZ(data []byte) ([]byte, error) {
-	c := wire.CursorOf(data)
-	want, err := c.U32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: dataz crc: %v", ErrFrame, err)
-	}
-	if got := crc32.Checksum(data[c.Pos():], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: dataz crc %#x, want %#x", ErrFrame, got, want)
-	}
-	raw, _, err := wire.DecodeBlock(&c, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dataz block: %v", ErrFrame, err)
-	}
-	if err := c.Done(); err != nil {
-		return nil, fmt.Errorf("%w: dataz trailer: %v", ErrFrame, err)
-	}
-	return raw, nil
-}
 
 // Fleet session roles carried by ATTACH.
 const (
@@ -134,6 +101,31 @@ type resultPayload struct {
 	Last bool
 	Err  string
 	Data []byte
+}
+
+// sendResult splits one job's result into RESULT payloads of at most
+// resultChunkSize data bytes and hands each to send in order; only the
+// last chunk carries errMsg.
+func sendResult(id uint64, data []byte, errMsg string, send func(payload []byte) error) error {
+	a := wire.GetAppender()
+	defer wire.PutAppender(a)
+	for {
+		n := len(data)
+		if n > resultChunkSize {
+			n = resultChunkSize
+		}
+		last := n == len(data)
+		r := resultPayload{ID: id, Last: last, Data: data[:n]}
+		if last {
+			r.Err = errMsg
+		}
+		a.Reset()
+		appendResult(a, r)
+		if err := send(a.Buf); err != nil || last {
+			return err
+		}
+		data = data[n:]
+	}
 }
 
 func appendResult(a *wire.Appender, r resultPayload) {

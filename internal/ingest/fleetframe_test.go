@@ -16,16 +16,14 @@ const (
 	fuzzJob
 	fuzzResult
 	fuzzFetch
-	fuzzDataZ
 	fuzzDispatchJob
 	fuzzDispatchResult
 	fuzzKinds
 )
 
-// FuzzJobFrame throws arbitrary bytes at every v3 payload codec — the
-// fleet job plane (ATTACH/JOB/RESULT/FETCH), the compressed data plane
-// (DATAZ), and the dispatch job/result envelopes that ride inside JOB
-// and RESULT bodies. Invariants: no panic, malformed input yields a
+// FuzzJobFrame throws arbitrary bytes at every fleet payload codec — the
+// job plane (ATTACH/JOB/RESULT/FETCH) and the dispatch job/result
+// envelopes that ride inside JOB and RESULT bodies. Invariants: no panic, malformed input yields a
 // typed error, and any payload that decodes survives an encode→decode
 // round trip with its values intact.
 func FuzzJobFrame(f *testing.F) {
@@ -52,10 +50,9 @@ func FuzzJobFrame(f *testing.F) {
 	seed(fuzzFetch, func(a *wire.Appender) {
 		appendFetch(a, fetchPayload{Digest: strings.Repeat("ab", digestSize)})
 	})
-	seed(fuzzDataZ, func(a *wire.Appender) {
-		appendDataZ(a, bytes.Repeat([]byte("stream bytes "), 100))
+	seed(fuzzAttach, func(a *wire.Appender) {
+		appendAttach(a, attachPayload{Version: 2, Role: roleWorker, Slots: 1 << 10})
 	})
-	seed(fuzzDataZ, func(a *wire.Appender) { appendDataZ(a, []byte("incompressible?")) })
 	seed(fuzzDispatchJob, func(a *wire.Appender) {
 		dispatch.AppendJob(a, dispatch.Job{
 			Kind: dispatch.JobReplayInterval, Digest: strings.Repeat("cd", digestSize),
@@ -65,9 +62,11 @@ func FuzzJobFrame(f *testing.F) {
 	seed(fuzzDispatchResult, func(a *wire.Appender) {
 		dispatch.AppendJobResult(a, dispatch.JobResult{Payload: []byte("interval state")})
 	})
-	// Hostile shapes: truncated varints, a CRC over nothing, huge lengths.
+	// Hostile shapes: truncated varints, bad flags and roles, short
+	// digests, huge lengths.
 	f.Add(byte(fuzzJob), []byte{0xff})
-	f.Add(byte(fuzzDataZ), []byte{1, 2, 3})
+	f.Add(byte(fuzzAttach), []byte{protoVersion, 3, 0})
+	f.Add(byte(fuzzFetch), []byte{4, 'a', 'b', 'c', 'd'})
 	f.Add(byte(fuzzResult), []byte{0, 2})
 	f.Add(byte(fuzzDispatchJob), []byte{1, 0xff, 0xff, 0xff, 0x7f})
 
@@ -122,16 +121,6 @@ func FuzzJobFrame(f *testing.F) {
 			appendFetch(&a, fp)
 			if got, err := decodeFetch(a.Buf); err != nil || got != fp {
 				t.Fatalf("fetch round trip: %+v, %v", got, err)
-			}
-		case fuzzDataZ:
-			raw, err := decodeDataZ(data)
-			if checkErr(err) {
-				return
-			}
-			var a wire.Appender
-			appendDataZ(&a, raw)
-			if got, err := decodeDataZ(a.Buf); err != nil || !bytes.Equal(got, raw) {
-				t.Fatalf("dataz round trip: %d bytes, %v", len(got), err)
 			}
 		case fuzzDispatchJob:
 			j, err := dispatch.DecodeJob(data)

@@ -16,7 +16,10 @@
 // DATA frame — and a FINISH frame carrying the stream's SHA-256. The
 // server answers ACK (bundle digest, stored or duplicate) or ERROR
 // (typed code plus a retryable bit: an overloaded shard sheds the
-// upload and tells the recorder to come back later).
+// upload and tells the recorder to come back later). DATA bytes are
+// stored exactly as sent: streams compress once, in the recorder's
+// segment writer (machine.Config.CompressStream), never again on the
+// wire.
 //
 // The payload codecs ride the shared internal/wire layer, and the
 // per-shard appenders assemble uploads in pooled wire buffers — the
@@ -50,12 +53,9 @@ const (
 	// FrameError rejects the session with a typed, possibly retryable code.
 	FrameError FrameKind = 7
 
-	// v3 kinds: compressed data plane and the fleet job plane.
+	// Fleet kinds: the job plane and blob fetch. Kind 8 is retired and
+	// never reused; frame readers reject it as unknown.
 
-	// FrameDataZ carries a block-compressed run of segmented-stream bytes
-	// with a CRC over the on-wire block. Only valid once both sides
-	// negotiated v3.
-	FrameDataZ FrameKind = 8
 	// FrameAttach opens a fleet session (worker or submitter) instead of
 	// an upload. Answered by WELCOME.
 	FrameAttach FrameKind = 9
@@ -68,9 +68,6 @@ const (
 	// FrameFetch opens a blob-fetch session: a worker asks for a stored
 	// bundle by digest and the server streams DATA frames plus a FINISH.
 	FrameFetch FrameKind = 12
-
-	// frameKindMax is the highest kind this build understands.
-	frameKindMax = FrameFetch
 )
 
 // String names the kind.
@@ -90,8 +87,6 @@ func (k FrameKind) String() string {
 		return "ack"
 	case FrameError:
 		return "error"
-	case FrameDataZ:
-		return "dataz"
 	case FrameAttach:
 		return "attach"
 	case FrameJob:
@@ -105,19 +100,10 @@ func (k FrameKind) String() string {
 }
 
 const (
-	// protoVersionMin and protoVersionMax bound the ingest protocol
-	// versions spoken by this package. v2 is identical to v1 on the wire
-	// — every payload already carries trailer checks, so nothing needed
-	// to change — but negotiating it proved the HELLO/WELCOME version
-	// path end to end before v3 depended on it. v3 adds the compressed
-	// data plane (DATAZ frames on uploads, used only when both sides
-	// negotiated v3) and the fleet job plane (ATTACH/JOB/RESULT/FETCH).
-	// The client offers the newest version it speaks; the server answers
-	// WELCOME with min(offered, protoVersionMax) and rejects only offers
-	// below its floor, so future clients degrade gracefully against old
-	// fleets and vice versa.
-	protoVersionMin = 1
-	protoVersionMax = 3
+	// protoVersion is the only protocol version spoken: HELLO and ATTACH
+	// must carry it and WELCOME always does. Any other version is a
+	// non-retryable protocol error.
+	protoVersion = 3
 	// frameHeaderSize is plen u32 + kind u8.
 	frameHeaderSize = 4 + 1
 	// maxFramePayload bounds one frame; longer plen fields are treated as
@@ -141,6 +127,25 @@ func appendFrame(a *wire.Appender, kind FrameKind, payload []byte) {
 	a.Raw(payload)
 }
 
+// validKind reports whether kind is a frame kind this package speaks.
+func validKind(kind FrameKind) bool {
+	return (kind >= FrameHello && kind <= FrameError) || (kind >= FrameAttach && kind <= FrameFetch)
+}
+
+// parseHeader checks a frame header, returning its kind and payload
+// length. It is the single place that decides which frames are valid.
+func parseHeader(hdr []byte) (FrameKind, int, error) {
+	plen := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
+	if plen > maxFramePayload {
+		return 0, 0, fmt.Errorf("%w: %d-byte payload exceeds %d", ErrFrame, plen, maxFramePayload)
+	}
+	kind := FrameKind(hdr[4])
+	if !validKind(kind) {
+		return 0, 0, fmt.Errorf("%w: unknown kind %d", ErrFrame, hdr[4])
+	}
+	return kind, int(plen), nil
+}
+
 // DecodeFrame parses the frame at the head of data and returns its kind,
 // payload (aliasing data) and the remainder. io.ErrUnexpectedEOF reports
 // a torn frame; ErrFrame a structurally invalid one.
@@ -148,15 +153,11 @@ func DecodeFrame(data []byte) (kind FrameKind, payload, rest []byte, err error) 
 	if len(data) < frameHeaderSize {
 		return 0, nil, data, io.ErrUnexpectedEOF
 	}
-	plen := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-	if plen > maxFramePayload {
-		return 0, nil, data, fmt.Errorf("%w: %d-byte payload exceeds %d", ErrFrame, plen, maxFramePayload)
+	kind, plen, err := parseHeader(data)
+	if err != nil {
+		return 0, nil, data, err
 	}
-	kind = FrameKind(data[4])
-	if kind < FrameHello || kind > frameKindMax {
-		return 0, nil, data, fmt.Errorf("%w: unknown kind %d", ErrFrame, data[4])
-	}
-	end := frameHeaderSize + int(plen)
+	end := frameHeaderSize + plen
 	if len(data) < end {
 		return 0, nil, data, io.ErrUnexpectedEOF
 	}
@@ -171,13 +172,9 @@ func readFrame(r io.Reader) (FrameKind, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	plen := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
-	if plen > maxFramePayload {
-		return 0, nil, fmt.Errorf("%w: %d-byte payload exceeds %d", ErrFrame, plen, maxFramePayload)
-	}
-	kind := FrameKind(hdr[4])
-	if kind < FrameHello || kind > frameKindMax {
-		return 0, nil, fmt.Errorf("%w: unknown kind %d", ErrFrame, hdr[4])
+	kind, plen, err := parseHeader(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
 	payload := make([]byte, plen)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -21,8 +21,8 @@ func frameBytes(kind FrameKind, build func(*wire.Appender)) []byte {
 }
 
 func TestFramePayloadRoundTrip(t *testing.T) {
-	hello := helloPayload{Version: protoVersionMax, Tenant: "sphere-7", SizeHint: 1 << 20}
-	welcome := welcomePayload{Version: protoVersionMax, Credit: 256 << 10}
+	hello := helloPayload{Version: protoVersion, Tenant: "sphere-7", SizeHint: 1 << 20}
+	welcome := welcomePayload{Version: protoVersion, Credit: 256 << 10}
 	grant := grantPayload{Bytes: 65536}
 	var fin finishPayload
 	for i := range fin.Digest {
@@ -106,11 +106,17 @@ func TestDecodeFrameFaults(t *testing.T) {
 	if _, _, _, err := DecodeFrame(huge); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversize plen: %v, want ErrFrame", err)
 	}
-	// Unknown frame kind.
-	bad := append([]byte(nil), valid...)
-	bad[4] = 0x7f
-	if _, _, _, err := DecodeFrame(bad); !errors.Is(err, ErrFrame) {
-		t.Fatalf("bad kind: %v, want ErrFrame", err)
+	// Unknown frame kinds, including retired kind 8, fail through both
+	// readers.
+	for _, kind := range []byte{0, 8, 13, 0x7f} {
+		bad := append([]byte(nil), valid...)
+		bad[4] = kind
+		if _, _, _, err := DecodeFrame(bad); !errors.Is(err, ErrFrame) {
+			t.Fatalf("kind %d: %v, want ErrFrame", kind, err)
+		}
+		if _, _, err := readFrame(bytes.NewReader(bad)); !errors.Is(err, ErrFrame) {
+			t.Fatalf("kind %d via reader: %v, want ErrFrame", kind, err)
+		}
 	}
 	// Same faults through the stream reader.
 	if _, _, err := readFrame(bytes.NewReader(valid[:3])); err == nil {
@@ -127,7 +133,7 @@ func TestDecodePayloadFaults(t *testing.T) {
 	}
 	// Empty tenant is rejected — the tenant keys sharding and verdicts.
 	var a wire.Appender
-	appendHello(&a, helloPayload{Version: protoVersionMax, Tenant: "", SizeHint: 0})
+	appendHello(&a, helloPayload{Version: protoVersion, Tenant: "", SizeHint: 0})
 	if _, err := decodeHello(a.Buf); !errors.Is(err, ErrFrame) {
 		t.Fatalf("empty tenant: %v", err)
 	}
@@ -150,10 +156,10 @@ func TestDecodePayloadFaults(t *testing.T) {
 // decodes re-encodes byte-identically through appendFrame.
 func FuzzIngestFrame(f *testing.F) {
 	f.Add(frameBytes(FrameHello, func(a *wire.Appender) {
-		appendHello(a, helloPayload{Version: protoVersionMax, Tenant: "sphere-0", SizeHint: 4096})
+		appendHello(a, helloPayload{Version: protoVersion, Tenant: "sphere-0", SizeHint: 4096})
 	}))
 	f.Add(frameBytes(FrameWelcome, func(a *wire.Appender) {
-		appendWelcome(a, welcomePayload{Version: protoVersionMax, Credit: 1 << 18})
+		appendWelcome(a, welcomePayload{Version: protoVersion, Credit: 1 << 18})
 	}))
 	f.Add(frameBytes(FrameData, func(a *wire.Appender) { a.Raw([]byte("QRSGstream-bytes")) }))
 	f.Add(frameBytes(FrameGrant, func(a *wire.Appender) { appendGrant(a, grantPayload{Bytes: 65536}) }))
@@ -169,6 +175,8 @@ func FuzzIngestFrame(f *testing.F) {
 	f.Add([]byte{4, 0, 0})
 	f.Add([]byte{4, 0, 0, 0, 2, 0xaa})
 	f.Add([]byte{0, 0, 0, 0, 99})
+	// Retired kind 8 (compressed upload chunks), with a plausible payload.
+	f.Add([]byte{3, 0, 0, 0, 8, 0xaa, 0xbb, 0xcc})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, rest, err := DecodeFrame(data)

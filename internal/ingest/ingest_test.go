@@ -355,6 +355,42 @@ func TestUploadRetriesShedSessions(t *testing.T) {
 	}
 }
 
+// TestRetryDelayBoundedAndDeterministic pins the upload backoff policy:
+// the delay grows exponentially but is capped at base<<backoffCapFactor,
+// jitter keeps every delay inside [exp/2, exp), the schedule is a pure
+// function of (tenant, attempt), and distinct tenants land on distinct
+// points of the window so a shed burst does not re-converge.
+func TestRetryDelayBoundedAndDeterministic(t *testing.T) {
+	const base = 10 * time.Millisecond
+	for attempt := 1; attempt <= 20; attempt++ {
+		shift := attempt - 1
+		if shift > backoffCapFactor {
+			shift = backoffCapFactor
+		}
+		exp := base << shift
+		d := retryDelay("sphere-a", attempt, base)
+		if d < exp/2 || d >= exp {
+			t.Errorf("attempt %d: delay %v outside [%v, %v)", attempt, d, exp/2, exp)
+		}
+		if d2 := retryDelay("sphere-a", attempt, base); d2 != d {
+			t.Errorf("attempt %d: delay not deterministic (%v then %v)", attempt, d, d2)
+		}
+		if ceil := base << backoffCapFactor; d >= ceil {
+			t.Errorf("attempt %d: delay %v at or above the cap %v", attempt, d, ceil)
+		}
+	}
+
+	// Thirty-two tenants retrying the same attempt must not synchronize:
+	// the jitter seed includes the tenant, so the delays spread out.
+	distinct := map[time.Duration]bool{}
+	for i := 0; i < 32; i++ {
+		distinct[retryDelay(string(rune('a'+i)), 4, base)] = true
+	}
+	if len(distinct) < 16 {
+		t.Errorf("32 tenants share only %d distinct delays — retries would synchronize", len(distinct))
+	}
+}
+
 func TestShardEnqueueShedsWhenFull(t *testing.T) {
 	// White-box: a shard with no worker, so the queue state is exact.
 	s := &Server{cfg: Config{ShedTimeout: 5 * time.Millisecond}}

@@ -37,20 +37,14 @@ type Config struct {
 	// Credit is the per-session in-flight byte allowance granted at
 	// WELCOME; the shard returns credit as it consumes DATA frames.
 	Credit int
-	// MaxUploadBytes caps one upload's assembled size.
+	// MaxUploadBytes caps one upload's assembled size, and one fleet job
+	// result's.
 	MaxUploadBytes int
 	// Verifiers is the background verifier pool size.
 	Verifiers int
-	// ReplayWorkers is passed to core.ReplayWorkers for each verification
-	// replay (0: serial; negative: GOMAXPROCS).
-	ReplayWorkers int
 	// WriteTimeout bounds every server-side frame write, so a reader that
 	// stopped draining its socket cannot wedge a shard worker.
 	WriteTimeout time.Duration
-	// MaxVersion caps the protocol version the server negotiates (0:
-	// protoVersionMax). The mixed-version interop tests use it to stand
-	// up an old-protocol server against new clients.
-	MaxVersion int
 	// JobTimeout is how long a dispatched fleet job may stay in flight on
 	// one worker before the broker re-dispatches it to another (straggler
 	// or dead-worker recovery). 0 selects a 30s default.
@@ -68,7 +62,6 @@ func DefaultConfig() Config {
 		Credit:         256 << 10,
 		MaxUploadBytes: 64 << 20,
 		Verifiers:      2,
-		ReplayWorkers:  0,
 		WriteTimeout:   10 * time.Second,
 	}
 }
@@ -88,18 +81,56 @@ type shard struct {
 	ch chan shardMsg
 }
 
+// peer is the server end of one framed connection: an upload, a fleet
+// session or a fetch. Several goroutines may write to one peer (an
+// upload's handler and shard worker, a worker's feeder and result
+// router), so writes are serialized by wmu; dead is atomic for the same
+// reason — write marks it from whichever goroutine hit the failure, and
+// the others poll it.
+type peer struct {
+	conn    net.Conn
+	timeout time.Duration
+	wmu     sync.Mutex
+	dead    atomic.Bool // set on write failure; uploads also on size overflow
+}
+
+func (s *Server) newPeer(conn net.Conn) *peer {
+	return &peer{conn: conn, timeout: s.cfg.WriteTimeout}
+}
+
+// write sends one frame under the write lock and deadline. On failure
+// it marks the peer dead and severs the connection, so a wedged reader
+// cannot block a shard worker or the broker.
+func (p *peer) write(kind FrameKind, payload []byte) error {
+	a := wire.GetAppender()
+	defer wire.PutAppender(a)
+	appendFrame(a, kind, payload)
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
+	if _, err := p.conn.Write(a.Buf); err != nil {
+		p.dead.Store(true)
+		p.conn.Close()
+		return fmt.Errorf("ingest: write %s: %w", kind, err)
+	}
+	return nil
+}
+
+// writeError sends a typed ERROR frame.
+func (p *peer) writeError(code ErrorCode, retryable bool, msg string) {
+	var a wire.Appender
+	appendError(&a, errorPayload{Code: code, Retryable: retryable, Msg: msg})
+	p.write(FrameError, a.Buf)
+}
+
 // upload is one in-flight session's assembly state. The buf is owned by
-// the shard worker between register and finish/abort; conn writes are
-// serialized by wmu (the shard worker and the session handler both send
-// frames). dead is atomic for the same reason: writeFrame marks it from
-// whichever goroutine hit the failure, and the shard polls it.
+// the shard worker between register and finish/abort; the shard skips
+// uploads whose peer is dead (write failure or size overflow).
 type upload struct {
+	*peer
 	tenant string
-	conn   net.Conn
-	wmu    *sync.Mutex
 	buf    *wire.Appender
 	size   int
-	dead   atomic.Bool // set on write failure / size overflow; shard skips dead uploads
 }
 
 // Server is the recording-as-a-service ingest endpoint.
@@ -142,7 +173,7 @@ func NewServer(cfg Config) (*Server, error) {
 		verdicts: newVerdictBoard(),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.verifier = newVerifierPool(cfg.Verifiers, cfg.ReplayWorkers, s.verdicts)
+	s.verifier = newVerifierPool(cfg.Verifiers, s.verdicts)
 	s.broker = newBroker(s, cfg.JobTimeout)
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{ch: make(chan shardMsg, cfg.QueueDepth)}
@@ -209,45 +240,11 @@ func (s *Server) Close() error {
 	return err
 }
 
-// maxVersion is the protocol ceiling the server negotiates down to.
-func (s *Server) maxVersion() byte {
-	if s.cfg.MaxVersion > 0 && s.cfg.MaxVersion < protoVersionMax {
-		return byte(s.cfg.MaxVersion)
-	}
-	return protoVersionMax
-}
-
 // shardFor maps a tenant onto its shard by FNV-1a hash.
 func (s *Server) shardFor(tenant string) *shard {
 	h := fnv.New32a()
 	io.WriteString(h, tenant)
 	return s.shards[int(h.Sum32())%len(s.shards)]
-}
-
-// writeFrame sends one frame on up's connection under its write lock
-// and deadline. Returns false (and marks the upload dead) on failure.
-func (s *Server) writeFrame(up *upload, kind FrameKind, payload []byte) bool {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFrame(a, kind, payload)
-	up.wmu.Lock()
-	defer up.wmu.Unlock()
-	up.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	_, err := up.conn.Write(a.Buf)
-	if err != nil {
-		up.dead.Store(true) // no more frames owed; the shard drops its work
-		up.conn.Close()     // a wedged reader: sever the session
-		return false
-	}
-	return true
-}
-
-// writeErrorFrame sends a typed ERROR frame.
-func (s *Server) writeErrorFrame(up *upload, code ErrorCode, retryable bool, msg string) {
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendError(a, errorPayload{Code: code, Retryable: retryable, Msg: msg})
-	s.writeFrame(up, FrameError, a.Buf)
 }
 
 // enqueue offers msg to sh, blocking up to the shed timeout.
@@ -274,11 +271,18 @@ func (s *Server) enqueueMust(sh *shard, msg shardMsg) {
 	sh.ch <- msg
 }
 
+// checkVersion rejects a HELLO or ATTACH that does not speak
+// protoVersion.
+func checkVersion(v byte) error {
+	if v != protoVersion {
+		return fmt.Errorf("protocol version %d, server speaks %d", v, protoVersion)
+	}
+	return nil
+}
+
 // handle runs one session. The opening frame selects the session type:
-// HELLO starts an upload (WELCOME, then the DATA/FINISH loop), ATTACH
-// joins the fleet job plane as a worker or submitter, FETCH streams a
-// stored bundle back. For uploads the handler owns the read side; the
-// shard worker owns the upload buffer and sends GRANT/ACK frames.
+// HELLO starts an upload, ATTACH joins the fleet job plane as a worker
+// or submitter, FETCH streams a stored bundle back.
 func (s *Server) handle(conn net.Conn) {
 	defer s.handlers.Done()
 	defer func() {
@@ -291,43 +295,43 @@ func (s *Server) handle(conn net.Conn) {
 	kind, payload, err := readFrame(conn)
 	if err != nil {
 		s.ctrs.rejected.Add(1)
-		return // nothing was negotiated; no frame owed
+		return // no session was opened; no frame owed
 	}
+	p := s.newPeer(conn)
 	switch kind {
 	case FrameHello:
+		s.handleUpload(p, payload)
 	case FrameAttach:
-		s.broker.handleAttach(conn, payload)
-		return
+		s.broker.handleAttach(p, payload)
 	case FrameFetch:
-		s.handleFetch(conn, payload)
-		return
+		s.handleFetch(p, payload)
 	default:
 		s.ctrs.rejected.Add(1)
-		return
 	}
+}
+
+// handleUpload runs an upload session from its HELLO on: WELCOME, then
+// the DATA/FINISH loop. The handler owns the read side; the shard
+// worker owns the upload buffer and sends GRANT/ACK frames.
+func (s *Server) handleUpload(p *peer, payload []byte) {
 	hello, err := decodeHello(payload)
-	if err != nil || hello.Version < protoVersionMin {
-		s.ctrs.rejected.Add(1)
-		up := &upload{conn: conn, wmu: &sync.Mutex{}}
-		s.writeErrorFrame(up, CodeProtocol, false, "bad hello")
-		return
+	if err == nil {
+		err = checkVersion(hello.Version)
 	}
-	// Speak the newest version both sides know: a future client offering
-	// a higher version is answered at our ceiling, not rejected.
-	version := hello.Version
-	if version > s.maxVersion() {
-		version = s.maxVersion()
+	if err != nil {
+		s.ctrs.rejected.Add(1)
+		p.writeError(CodeProtocol, false, "bad hello: "+err.Error())
+		return
 	}
 	if hello.SizeHint > uint64(s.cfg.MaxUploadBytes) {
 		s.ctrs.rejected.Add(1)
-		up := &upload{conn: conn, wmu: &sync.Mutex{}}
-		s.writeErrorFrame(up, CodeTooLarge, false,
+		p.writeError(CodeTooLarge, false,
 			fmt.Sprintf("declared %d bytes, cap %d", hello.SizeHint, s.cfg.MaxUploadBytes))
 		return
 	}
 	s.ctrs.sessions.Add(1)
 
-	up := &upload{tenant: hello.Tenant, conn: conn, wmu: &sync.Mutex{}}
+	up := &upload{peer: p, tenant: hello.Tenant}
 	sh := s.shardFor(hello.Tenant)
 
 	// Register with the shard: the worker attaches the pooled appender.
@@ -335,53 +339,35 @@ func (s *Server) handle(conn net.Conn) {
 	// shard sheds the session before it ever buffers a byte.
 	if !s.enqueue(sh, shardMsg{up: up, kind: FrameHello}) {
 		s.ctrs.shed.Add(1)
-		s.writeErrorFrame(up, CodeOverloaded, true, "shard queue full")
+		p.writeError(CodeOverloaded, true, "shard queue full")
 		return
 	}
-	registered := true
 	finished := false
 	defer func() {
-		if registered && !finished {
+		if !finished {
 			s.ctrs.aborted.Add(1)
 			s.enqueueMust(sh, shardMsg{up: up}) // abort: release the buffer
 		}
 	}()
 
 	a := wire.GetAppender()
-	appendWelcome(a, welcomePayload{Version: version, Credit: uint64(s.cfg.Credit)})
-	ok := s.writeFrame(up, FrameWelcome, a.Buf)
+	appendWelcome(a, welcomePayload{Version: protoVersion, Credit: uint64(s.cfg.Credit)})
+	err = p.write(FrameWelcome, a.Buf)
 	wire.PutAppender(a)
-	if !ok {
+	if err != nil {
 		return
 	}
 
 	for {
-		kind, payload, err := readFrame(conn)
+		kind, payload, err := readFrame(p.conn)
 		if err != nil {
 			return // torn upload: the deferred abort reclaims state
 		}
 		switch kind {
-		case FrameData, FrameDataZ:
-			if kind == FrameDataZ {
-				if version < 3 {
-					s.ctrs.rejected.Add(1)
-					s.writeErrorFrame(up, CodeProtocol, false, "dataz frame on a v"+
-						fmt.Sprint(version)+" session")
-					return
-				}
-				// Decode before the shard queue so the grant (and every
-				// byte-accounting path) sees decoded sizes.
-				payload, err = decodeDataZ(payload)
-				if err != nil {
-					s.ctrs.rejected.Add(1)
-					s.writeErrorFrame(up, CodeProtocol, false, err.Error())
-					return
-				}
-				s.ctrs.framesCompressed.Add(1)
-			}
+		case FrameData:
 			if !s.enqueue(sh, shardMsg{up: up, kind: FrameData, data: payload}) {
 				s.ctrs.shed.Add(1)
-				s.writeErrorFrame(up, CodeOverloaded, true, "shard queue full")
+				p.writeError(CodeOverloaded, true, "shard queue full")
 				return
 			}
 			s.ctrs.bytesIngested.Add(uint64(len(payload)))
@@ -389,18 +375,18 @@ func (s *Server) handle(conn net.Conn) {
 			fin, err := decodeFinish(payload)
 			if err != nil {
 				s.ctrs.rejected.Add(1)
-				s.writeErrorFrame(up, CodeProtocol, false, err.Error())
+				p.writeError(CodeProtocol, false, err.Error())
 				return
 			}
 			finished = true
 			s.enqueueMust(sh, shardMsg{up: up, kind: FrameFinish, dig: fin.Digest})
 			// The shard sends ACK (or ERROR) and releases the buffer; the
 			// session is done once the client closes its side.
-			io.Copy(io.Discard, conn)
+			io.Copy(io.Discard, p.conn)
 			return
 		default:
 			s.ctrs.rejected.Add(1)
-			s.writeErrorFrame(up, CodeProtocol, false, "unexpected "+kind.String()+" frame")
+			p.writeError(CodeProtocol, false, "unexpected "+kind.String()+" frame")
 			return
 		}
 	}
@@ -424,7 +410,7 @@ func (s *Server) runShard(sh *shard) {
 			if up.size+len(msg.data) > s.cfg.MaxUploadBytes {
 				up.dead.Store(true)
 				s.ctrs.rejected.Add(1)
-				s.writeErrorFrame(up, CodeTooLarge, false,
+				up.writeError(CodeTooLarge, false,
 					fmt.Sprintf("upload exceeds %d bytes", s.cfg.MaxUploadBytes))
 				continue
 			}
@@ -432,9 +418,9 @@ func (s *Server) runShard(sh *shard) {
 			up.size += len(msg.data)
 			ga := wire.GetAppender()
 			appendGrant(ga, grantPayload{Bytes: uint64(len(msg.data))})
-			// A failed grant marks the upload dead inside writeFrame; the
-			// handler will see the closed conn and abort.
-			s.writeFrame(up, FrameGrant, ga.Buf)
+			// A failed grant marks the upload dead; the handler will see
+			// the closed conn and abort.
+			up.write(FrameGrant, ga.Buf)
 			wire.PutAppender(ga)
 		case FrameFinish:
 			s.finishUpload(up, msg.dig)
@@ -462,7 +448,7 @@ func (s *Server) finishUpload(up *upload, want [digestSize]byte) {
 	got := sha256.Sum256(up.buf.Buf)
 	if subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
 		s.ctrs.rejected.Add(1)
-		s.writeErrorFrame(up, CodeDigestMismatch, false,
+		up.writeError(CodeDigestMismatch, false,
 			fmt.Sprintf("upload hashed to %x, client declared %x", got, want))
 		return
 	}
@@ -470,7 +456,7 @@ func (s *Server) finishUpload(up *upload, want [digestSize]byte) {
 	if err != nil {
 		// Store faults (disk full, permissions) are retryable from the
 		// client's point of view: nothing was made addressable.
-		s.writeErrorFrame(up, CodeOverloaded, true, err.Error())
+		up.writeError(CodeOverloaded, true, err.Error())
 		return
 	}
 	if existed {
@@ -495,7 +481,7 @@ func (s *Server) finishUpload(up *upload, want [digestSize]byte) {
 	a := wire.GetAppender()
 	defer wire.PutAppender(a)
 	appendAck(a, ackPayload{Digest: digest, Duplicate: existed})
-	if s.writeFrame(up, FrameAck, a.Buf) {
+	if up.write(FrameAck, a.Buf) == nil {
 		s.ctrs.accepted.Add(1)
 	}
 }
@@ -511,17 +497,16 @@ const FleetTenant = "_fleet"
 // handleFetch streams a stored bundle back to a worker: DATA frames in
 // upload-sized chunks, then FINISH carrying the SHA-256 of the whole
 // object so the worker can check what it reassembled.
-func (s *Server) handleFetch(conn net.Conn, payload []byte) {
-	up := &upload{conn: conn, wmu: &sync.Mutex{}}
+func (s *Server) handleFetch(p *peer, payload []byte) {
 	f, err := decodeFetch(payload)
 	if err != nil {
 		s.ctrs.rejected.Add(1)
-		s.writeErrorFrame(up, CodeProtocol, false, err.Error())
+		p.writeError(CodeProtocol, false, err.Error())
 		return
 	}
 	data, err := s.store.Get(f.Digest)
 	if err != nil {
-		s.writeErrorFrame(up, CodeNotFound, false, fmt.Sprintf("digest %s: %v", f.Digest, err))
+		p.writeError(CodeNotFound, false, fmt.Sprintf("digest %s: %v", f.Digest, err))
 		return
 	}
 	for off := 0; off < len(data); off += uploadChunk {
@@ -529,13 +514,12 @@ func (s *Server) handleFetch(conn net.Conn, payload []byte) {
 		if end > len(data) {
 			end = len(data)
 		}
-		if !s.writeFrame(up, FrameData, data[off:end]) {
+		if p.write(FrameData, data[off:end]) != nil {
 			return
 		}
 	}
 	sum := sha256.Sum256(data)
-	a := wire.GetAppender()
-	defer wire.PutAppender(a)
-	appendFinish(a, finishPayload{Digest: sum})
-	s.writeFrame(up, FrameFinish, a.Buf)
+	var a wire.Appender
+	appendFinish(&a, finishPayload{Digest: sum})
+	p.write(FrameFinish, a.Buf)
 }

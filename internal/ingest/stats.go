@@ -69,25 +69,21 @@ type Counters struct {
 	Shed          uint64 // sessions shed with CodeOverloaded
 	Aborted       uint64 // sessions dropped before FINISH (torn uploads)
 	Rejected      uint64 // sessions rejected for protocol/size/digest faults
-	BytesIngested uint64 // payload bytes accepted into shard queues (decoded)
-	// FramesCompressed counts DATAZ frames accepted — nonzero only when
-	// v3 clients found compression worthwhile.
-	FramesCompressed uint64
-	VerdictsBy       map[VerdictStatus]uint64
-	VerifyQueue      int // bundles waiting for a verifier
-	ShardQueue       int // data messages waiting across all shards
+	BytesIngested uint64 // payload bytes accepted into shard queues
+	VerdictsBy    map[VerdictStatus]uint64
+	VerifyQueue   int // bundles waiting for a verifier
+	ShardQueue    int // data messages waiting across all shards
 }
 
 // counters is the live atomic form behind Counters.
 type counters struct {
-	sessions         atomic.Uint64
-	accepted         atomic.Uint64
-	duplicates       atomic.Uint64
-	shed             atomic.Uint64
-	aborted          atomic.Uint64
-	rejected         atomic.Uint64
-	bytesIngested    atomic.Uint64
-	framesCompressed atomic.Uint64
+	sessions      atomic.Uint64
+	accepted      atomic.Uint64
+	duplicates    atomic.Uint64
+	shed          atomic.Uint64
+	aborted       atomic.Uint64
+	rejected      atomic.Uint64
+	bytesIngested atomic.Uint64
 }
 
 // verdictBoard publishes verifier conclusions: the latest verdict per
@@ -161,16 +157,15 @@ func (s *Server) Verdict(tenant, digest string) (Verdict, bool) {
 // Counters snapshots the server's counters and queue gauges.
 func (s *Server) Counters() Counters {
 	c := Counters{
-		Sessions:         s.ctrs.sessions.Load(),
-		Accepted:         s.ctrs.accepted.Load(),
-		Duplicates:       s.ctrs.duplicates.Load(),
-		Shed:             s.ctrs.shed.Load(),
-		Aborted:          s.ctrs.aborted.Load(),
-		Rejected:         s.ctrs.rejected.Load(),
-		BytesIngested:    s.ctrs.bytesIngested.Load(),
-		FramesCompressed: s.ctrs.framesCompressed.Load(),
-		VerdictsBy:       make(map[VerdictStatus]uint64),
-		VerifyQueue:      s.verifier.depth(),
+		Sessions:      s.ctrs.sessions.Load(),
+		Accepted:      s.ctrs.accepted.Load(),
+		Duplicates:    s.ctrs.duplicates.Load(),
+		Shed:          s.ctrs.shed.Load(),
+		Aborted:       s.ctrs.aborted.Load(),
+		Rejected:      s.ctrs.rejected.Load(),
+		BytesIngested: s.ctrs.bytesIngested.Load(),
+		VerdictsBy:    make(map[VerdictStatus]uint64),
+		VerifyQueue:   s.verifier.depth(),
 	}
 	for _, sh := range s.shards {
 		c.ShardQueue += len(sh.ch)

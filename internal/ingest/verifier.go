@@ -20,14 +20,13 @@ type verifyJob struct {
 // verifierPool drains stored uploads in the background: a single
 // drainer goroutine repeatedly grabs the pending batch and fans it out
 // through the dispatch layer, where each task salvages the stream,
-// rebuilds the recorded program from the manifest's name, replays it
-// with the checkpoint-partitioned parallel replayer, and publishes a
-// verdict. The queue is an in-memory list fed by shard workers —
+// rebuilds the recorded program from the manifest's name, replays it,
+// and publishes a verdict. Parallelism is across bundles — the pool's
+// workers — not within one replay. The queue is an in-memory list fed by shard workers —
 // enqueue never blocks the ingest data path; the measured queue depth
 // is the backlog signal.
 type verifierPool struct {
 	workers int
-	replayW int // Workers passed to core.ReplayWorkers
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -39,11 +38,11 @@ type verifierPool struct {
 	verdicts *verdictBoard
 }
 
-func newVerifierPool(workers, replayWorkers int, board *verdictBoard) *verifierPool {
+func newVerifierPool(workers int, board *verdictBoard) *verifierPool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &verifierPool{workers: workers, replayW: replayWorkers, verdicts: board}
+	p := &verifierPool{workers: workers, verdicts: board}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(1)
 	go p.run()
@@ -105,7 +104,7 @@ func (p *verifierPool) run() {
 		dispatch.Local{Workers: p.workers}.Execute(dispatch.Spec{
 			Tasks: len(batch),
 			Run: func(i int) error {
-				p.verdicts.publish(verifyBundle(batch[i], p.replayW))
+				p.verdicts.publish(verifyBundle(batch[i]))
 				p.mu.Lock()
 				p.busy--
 				p.mu.Unlock()
@@ -126,7 +125,7 @@ func programByName(name string, threads int) (*isa.Program, error) {
 // verifyBundle is the whole per-bundle pipeline: salvage, rebuild,
 // replay, compare. It never fails the ingest path — every outcome is a
 // verdict.
-func verifyBundle(j verifyJob, replayWorkers int) Verdict {
+func verifyBundle(j verifyJob) Verdict {
 	v := Verdict{Tenant: j.tenant, Digest: j.digest}
 	sv, err := core.SalvageStream(j.data)
 	if err != nil {
@@ -143,7 +142,7 @@ func verifyBundle(j verifyJob, replayWorkers int) Verdict {
 		v.Detail = err.Error()
 		return v
 	}
-	rr, err := core.ReplayWorkers(prog, b, replayWorkers)
+	rr, err := core.Replay(prog, b)
 	if err != nil {
 		v.Status = StatusDiverged
 		v.Detail = fmt.Sprintf("replay: %v", err)
